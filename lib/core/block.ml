@@ -120,50 +120,58 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   let ident t =
     match t.payload with Resident _ -> None | Spilled c -> Some c.ident
 
-  (** The boxed items without waiting.  Resident blocks: one pattern
-      match, no atomics — the hot paths are unperturbed.  Spilled blocks:
-      first access wins the [claim] CAS and runs [fetch] (disk read,
-      digest verification, journal append); while that fetch is in flight
-      every other caller gets [None] — selection paths treat such a block
-      as transiently unavailable and pick elsewhere (the same transient
-      the spill window itself already imposes, and well inside the
-      relaxed semantics).  The memo is never demoted, so every item
-      pointer ever handed out aliases the single canonical array —
-      [Item.take] visibility works exactly as for resident blocks.  If
-      [fetch] dies (corruption, chaos kill) the claim is released so
-      another thread can retry. *)
-  let try_items t =
+  (* A spilled block's items without waiting: first access wins the
+     [claim] CAS and runs [fetch] (disk read, digest verification, journal
+     append); while that fetch is in flight every other caller gets [None].
+     The memo is never demoted, so every item pointer ever handed out
+     aliases the single canonical array — [Item.take] visibility works
+     exactly as for resident blocks.  If [fetch] dies (corruption, chaos
+     kill) the claim is released so another thread can retry. *)
+  let cold_items c =
+    match B.get c.memo with
+    | Some a ->
+        c.note_memo ();
+        Some a
+    | None ->
+        if B.compare_and_set c.claim false true then begin
+          match c.fetch () with
+          | a ->
+              B.set c.memo (Some a);
+              Some a
+          | exception e ->
+              B.set c.claim false;
+              raise e
+        end
+        else None
+
+  (** The boxed items without waiting, or [[||]] while a spilled payload
+      is mid-fetch on another thread.  Callers ask only for blocks with
+      [filled > 0], whose item array is never empty, so the empty array
+      is an allocation-free "not yet".  Resident blocks: one pattern
+      match, no atomics, no allocation — the hot paths are unperturbed.
+      Selection paths treat a mid-fetch block as transiently unavailable
+      and pick elsewhere (the same transient the spill window itself
+      already imposes, and well inside the relaxed semantics). *)
+  let ready_items t =
     match t.payload with
-    | Resident a -> Some a
-    | Spilled c -> (
-        match B.get c.memo with
-        | Some a ->
-            c.note_memo ();
-            Some a
-        | None ->
-            if B.compare_and_set c.claim false true then begin
-              match c.fetch () with
-              | a ->
-                  B.set c.memo (Some a);
-                  Some a
-              | exception e ->
-                  B.set c.claim false;
-                  raise e
-            end
-            else None)
+    | Resident a -> a
+    | Spilled c -> ( match cold_items c with Some a -> a | None -> [||])
 
   (** The boxed items, waiting out a concurrent fetch if there is one.
       For paths that cannot pick elsewhere (merges materialize the union
       whatever it costs). *)
   let rec items t =
-    match try_items t with
-    | Some a -> a
-    | None ->
-        (* A genuine yield, not cpu_relax: the claim holder is doing
-           milliseconds of disk + digest work, and on oversubscribed
-           cores a pause-loop waiter would starve it for timeslices. *)
-        B.yield ();
-        items t
+    match t.payload with
+    | Resident a -> a
+    | Spilled c -> (
+        match cold_items c with
+        | Some a -> a
+        | None ->
+            (* A genuine yield, not cpu_relax: the claim holder is doing
+               milliseconds of disk + digest work, and on oversubscribed
+               cores a pause-loop waiter would starve it for timeslices. *)
+            B.yield ();
+            items t)
 
   (* Writes under construction only ever target resident blocks. *)
   let resident_exn t =
@@ -202,26 +210,32 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
      pointer array, [2^level] words each. *)
   let bytes_per_slot = 2 * (Sys.word_size / 8)
 
-  let pool_acquire (p : 'v Pool.t) lvl : 'v t option =
-    if lvl <= Pool.max_level then begin
-      match p.Pool.slots.(lvl) with
-      | b :: rest ->
-          p.Pool.slots.(lvl) <- rest;
-          p.Pool.counts.(lvl) <- p.Pool.counts.(lvl) - 1;
-          Obs.incr p.Pool.obs c_pool_hit;
-          Obs.add p.Pool.obs c_pool_bytes (Array.length b.keys * bytes_per_slot);
-          b.state <- Private;
-          B.set b.filled 0;
-          b.filter <- Bloom.empty;
-          Some b
-      | [] ->
-          Obs.incr p.Pool.obs c_pool_miss;
-          None
-    end
-    else begin
-      Obs.incr p.Pool.obs c_pool_miss;
-      None
-    end
+  let fresh level exemplar =
+    let cap = capacity_of_level level in
+    {
+      level;
+      payload = Resident (Array.make cap exemplar);
+      keys = Array.make cap 0;
+      filled = B.make 0;
+      filter = Bloom.empty;
+      state = Private;
+    }
+
+  (* A block of [lvl] from the pool, or a fresh one on a miss. *)
+  let pool_acquire (p : 'v Pool.t) lvl exemplar =
+    match if lvl <= Pool.max_level then p.Pool.slots.(lvl) else [] with
+    | b :: rest ->
+        p.Pool.slots.(lvl) <- rest;
+        p.Pool.counts.(lvl) <- p.Pool.counts.(lvl) - 1;
+        Obs.incr p.Pool.obs c_pool_hit;
+        Obs.add p.Pool.obs c_pool_bytes (Array.length b.keys * bytes_per_slot);
+        b.state <- Private;
+        B.set b.filled 0;
+        b.filter <- Bloom.empty;
+        b
+    | [] ->
+        Obs.incr p.Pool.obs c_pool_miss;
+        fresh lvl exemplar
 
   (** Hand a block's arrays back to the owning thread's pool.  A no-op on
       [Published] blocks (spies/snapshots may still hold them — §4.4's GC
@@ -264,20 +278,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
      [filled]).  A pooled block keeps its previous tail contents instead —
      equally unread. *)
   let create_with_exemplar ?pool level exemplar =
-    let fresh () =
-      let cap = capacity_of_level level in
-      {
-        level;
-        payload = Resident (Array.make cap exemplar);
-        keys = Array.make cap 0;
-        filled = B.make 0;
-        filter = Bloom.empty;
-        state = Private;
-      }
-    in
     match pool with
-    | None -> fresh ()
-    | Some p -> ( match pool_acquire p level with Some b -> b | None -> fresh ())
+    | None -> fresh level exemplar
+    | Some p -> pool_acquire p level exemplar
 
   (** [spilled ~level ~keys ~ident ...] is a cold block over a store object:
       [keys] (descending, exactly the serialized keys) is the resident
@@ -343,31 +346,44 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     let f = filled t in
     if f = 0 then None else Some (items t).(f - 1)
 
-  (** First alive item scanning from the minimum upward; [None] if the whole
-      block is dead.  Opportunistically publishes the shortened [filled] so
+  let rec scan_alive ~alive t its f i =
+    if i < 0 then begin
+      B.set t.filled 0;
+      -1
+    end
+    else begin
+      (* The tick precedes the [alive] read: Sim schedules depend on the
+         order of ticks and atomic accesses (DESIGN.md §11). *)
+      B.tick 1;
+      if alive its.(i) then begin
+        if i < f - 1 then B.set t.filled (i + 1);
+        i
+      end
+      else scan_alive ~alive t its f (i - 1)
+    end
+
+  (** [peek_min_index ~alive t its f] is the index in [its] of the first
+      alive item scanning from the minimum upward, or [-1] if the whole
+      block is dead.  The caller has read [f = filled t > 0] and then
+      [its = items t], in that order; the split lets the find-min loops
+      keep the running best as an (array, index) pair and allocate nothing
+      per block.  Opportunistically publishes the shortened [filled] so
       the dead tail is skipped only once — the same benign race as
       [shrink]: concurrent writes only ever shrink past items that are
       already dead, and a stale larger value merely re-exposes dead items
       (paper §4.1). *)
+  let peek_min_index ~alive t its f = scan_alive ~alive t its f (f - 1)
+
+  (** First alive item scanning from the minimum upward; [None] if the
+      whole block is dead (see {!peek_min_index}). *)
   let peek_min ~alive t =
     let f = filled t in
-    let its = if f = 0 then [||] else items t in
-    let rec scan i =
-      if i < 0 then begin
-        if f > 0 then B.set t.filled 0;
-        None
-      end
-      else begin
-        B.tick 1;
-        let it = its.(i) in
-        if alive it then begin
-          if i < f - 1 then B.set t.filled (i + 1);
-          Some it
-        end
-        else scan (i - 1)
-      end
-    in
-    scan (f - 1)
+    if f = 0 then None
+    else begin
+      let its = items t in
+      let i = peek_min_index ~alive t its f in
+      if i < 0 then None else Some its.(i)
+    end
 
   (** Count of alive items; O(filled), for tests and spill decisions.  Cold
       blocks hold only alive items (see {!is_cold}), counted without

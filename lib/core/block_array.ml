@@ -279,157 +279,144 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 
   (** Listing 2's [find_min]: select uniformly at random among the candidate
       ranges; on a deleted candidate fall back to the minimal item of the
-      same block.  [my_tid]/[hasher] implement local ordering semantics: the
-      minimum of every block whose Bloom filter may contain the calling
-      thread competes with the random choice (§4.1).  Returns a (possibly
-      already deleted) item, or [None] if the array holds no items at all —
-      exactly the contract {!Shared_klsm.find_min} builds its retry loop
-      on. *)
-  let find_min ?(local_ordering = true) ~alive ~rng ~my_tid ~hasher t =
+      same block.  With [local_ordering], the minimum of every block whose
+      Bloom filter covers [mine] (the calling thread's {!Bloom.singleton})
+      competes with the random choice (§4.1).  Returns a (possibly already
+      deleted) item, or [None] if the array holds no items at all — exactly
+      the contract {!Shared_klsm.find_min} builds its retry loop on.
+
+      Allocation-free until the result: the running best is an (items
+      array, index) pair, its key a raw int, and a block whose payload is
+      mid-fetch reads as the empty array ({!Block.ready_items}). *)
+  let find_min ~local_ordering ~alive ~rng ~mine t =
     let n = size t in
     if n = 0 then None
     else begin
+      let blocks = t.blocks and pivots = t.pivots in
       (* How many candidates can we choose from? *)
       let total = ref 0 in
       for i = 0 to n - 1 do
-        let range = Block.filled t.blocks.(i) - t.pivots.(i) in
+        let range = Block.filled blocks.(i) - pivots.(i) in
         if range > 0 then total := !total + range
       done;
-      (* Minimal block-tail item across all blocks; the safety net used
-         whenever the pivot ranges are stale (concurrent shrinks can empty
-         them under us).  May return a logically deleted item — callers
-         consolidate and retry — but returns [None] only when every block
-         is structurally empty (filled = 0 everywhere), which implies every
-         item was dead, because [filled] is only ever decremented past dead
-         items.  Comparisons stream the flat [keys] arrays; the boxed item
-         is read once, at the end.
-
-         A block whose payload is mid-fetch on another thread
-         ([Block.try_items] = [None]) is skipped on the first pass —
-         relaxation lets us answer from elsewhere instead of waiting on
-         its disk read.  Only if {e every} candidate is mid-fetch does the
-         [~wait] pass block on {!Block.items}: a false "empty" answer is
-         not among the liberties the relaxed contract grants. *)
-      let rec block_minima_fallback ~wait () =
-        let best = ref None in
-        let best_key = ref max_int in
+      let best_its = ref [||] and best_i = ref (-1) in
+      if !total > 0 then begin
+        let r = ref (Xoshiro.int rng !total) in
+        let i = ref 0 in
+        while !best_i < 0 && !i < n do
+          let b = blocks.(!i) in
+          let filled = Block.filled b in
+          let lo = pivots.(!i) in
+          let range = filled - lo in
+          if range > 0 && !r < range then begin
+            (* Selection reads the boxed items — the one place the random
+               candidate path faults a spilled payload in.  A payload
+               mid-fetch on another thread is skipped (relaxation: answer
+               from the next candidate instead of waiting on a disk read);
+               the fallback below waits only if every block is in that
+               state. *)
+            let its = Block.ready_items b in
+            if Array.length its = 0 then begin
+              r := 0;
+              incr i
+            end
+            else begin
+              let direct = if !r <> range - 1 then lo + !r else filled - 1 in
+              best_its := its;
+              best_i := direct;
+              if not (alive its.(direct)) then begin
+                (* Fall back to the minimal {e alive} item within the
+                   candidate range, truncating the dead tail on the way
+                   (the same benign [filled] shrink [peek_min] performs for
+                   the local-ordering path).  This matters most for
+                   rehydrated spilled blocks, whose empty Bloom filter
+                   keeps them off that path: without the shrink every
+                   delete-min against such a block re-selects its taken
+                   minimum and pays a full consolidation.  The scan must
+                   not leave [pivots.(i)..filled-1]: the pivots bound the
+                   candidate set to the globally k-smallest tail, and
+                   selecting an item above the cutoff would break the rank
+                   guarantee.  A range with no alive item keeps the dead
+                   item so the caller's consolidation still fires. *)
+                let j = ref (filled - 1) in
+                while !j >= lo && not (alive its.(!j)) do
+                  decr j
+                done;
+                if !j >= lo then begin
+                  if !j < filled - 1 then B.set b.Block.filled (!j + 1);
+                  best_i := !j
+                end
+              end
+            end
+          end
+          else begin
+            if range > 0 then r := !r - range;
+            incr i
+          end
+        done
+      end;
+      let best_key =
+        ref (if !best_i < 0 then max_int else Item.key !best_its.(!best_i))
+      in
+      (* Minimal block-tail item across all blocks: the safety net used
+         when there are no candidates or the ranges observed by the
+         selection loop shrank since [total] was computed (concurrent
+         deleters advance [filled]; a fruitless walk is NOT emptiness).
+         May yield a logically deleted item — callers consolidate and
+         retry — but yields nothing only when every block is structurally
+         empty (filled = 0 everywhere), which implies every item was dead,
+         because [filled] is only ever decremented past dead items.
+         Comparisons stream the flat [keys] arrays; [keys.(f-1)] and
+         [items.(f-1)] are read at the same index, so the pair stays
+         consistent even while [filled] shrinks.  A block mid-fetch on
+         another thread is skipped on the first pass; only if {e every}
+         candidate is mid-fetch does a second pass wait on {!Block.items}:
+         a false "empty" answer is not among the liberties the relaxed
+         contract grants. *)
+      let wait = ref false and pass = ref (!best_i < 0) in
+      while !pass do
         let in_flight = ref false in
         for i = 0 to n - 1 do
-          let b = t.blocks.(i) in
+          let b = blocks.(i) in
           let f = Block.filled b in
           if f > 0 then begin
             let key = b.Block.keys.(f - 1) in
-            if Option.is_none !best || key < !best_key then begin
-              (* [keys.(f-1)] and [items.(f-1)] are read at the same index,
-                 so the pair stays consistent even while [filled] shrinks.
-                 [Block.items] is the selection point: this is where a
-                 spilled block's payload rehydrates. *)
-              match
-                if wait then Some (Block.items b) else Block.try_items b
-              with
-              | Some its ->
-                  best := Some its.(f - 1);
-                  best_key := key
-              | None -> in_flight := true
+            if !best_i < 0 || key < !best_key then begin
+              let its = if !wait then Block.items b else Block.ready_items b in
+              if Array.length its = 0 then in_flight := true
+              else begin
+                best_its := its;
+                best_i := f - 1;
+                best_key := key
+              end
             end
           end
         done;
-        match !best with
-        | None when !in_flight -> block_minima_fallback ~wait:true ()
-        | r -> r
-      in
-      let block_minima_fallback () = block_minima_fallback ~wait:false () in
-      let random_choice =
-        if !total <= 0 then block_minima_fallback ()
-        else begin
-          let r = ref (Xoshiro.int rng !total) in
-          let chosen = ref None in
-          let i = ref 0 in
-          while Option.is_none !chosen && !i < n do
-            let b = t.blocks.(!i) in
-            let filled = Block.filled b in
-            let range = filled - t.pivots.(!i) in
-            if range > 0 && !r < range then begin
-              (* Selection reads the boxed items — the one place the random
-                 candidate path faults a spilled payload in.  A payload
-                 mid-fetch on another thread is skipped (relaxation:
-                 answer from the next candidate instead of waiting on a
-                 disk read); the fallback below waits only if every block
-                 is in that state. *)
-              match Block.try_items b with
-              | Some its ->
-                  let direct =
-                    if !r <> range - 1 then its.(t.pivots.(!i) + !r)
-                    else its.(filled - 1)
-                  in
-                  let item =
-                    if alive direct then direct
-                    else begin
-                      (* Fall back to the minimal {e alive} item within the
-                         candidate range, truncating the dead tail on the
-                         way (the same benign [filled] shrink [peek_min]
-                         performs for the local-ordering path).  This
-                         matters most for rehydrated spilled blocks, whose
-                         empty Bloom filter keeps them off that path:
-                         without the shrink every delete-min against such a
-                         block re-selects its taken minimum and pays a full
-                         consolidation.  The scan must not leave
-                         [pivots.(i)..filled-1]: the pivots bound the
-                         candidate set to the globally k-smallest tail, and
-                         selecting an item above the cutoff would break the
-                         rank guarantee.  A range with no alive item
-                         returns the dead item so the caller's
-                         consolidation still fires. *)
-                      let lo = t.pivots.(!i) in
-                      let rec scan j =
-                        if j < lo then direct
-                        else if alive its.(j) then begin
-                          if j < filled - 1 then B.set b.Block.filled (j + 1);
-                          its.(j)
-                        end
-                        else scan (j - 1)
-                      in
-                      scan (filled - 1)
-                    end
-                  in
-                  chosen := Some item
-              | None ->
-                  r := 0;
-                  incr i
-            end
-            else begin
-              if range > 0 then r := !r - range;
-              incr i
-            end
-          done;
-          (* The ranges observed by the selection loop may have shrunk
-             since [total] was computed (concurrent deleters advance
-             [filled]); a fruitless walk is NOT emptiness. *)
-          match !chosen with Some _ as c -> c | None -> block_minima_fallback ()
-        end
-      in
-      (* Local ordering: consider the minimum of every block that may hold
-         one of my own items.  The running best's key is tracked as a raw
-         int so the loop never compares options structurally. *)
-      let best = ref random_choice in
-      let best_key =
-        ref (match random_choice with Some it -> Item.key it | None -> max_int)
-      in
-      for i = 0 to n - 1 do
-        let b = t.blocks.(i) in
-        if local_ordering && Bloom.may_contain ~hasher (Block.filter b) my_tid
-        then begin
-          match Block.peek_min ~alive b with
-          | None -> ()
-          | Some it ->
-              let key = Item.key it in
-              if Option.is_none !best || key < !best_key then begin
-                best := Some it;
-                best_key := key
-              end
-        end
+        pass := !best_i < 0 && !in_flight;
+        wait := true
       done;
-      !best
+      (* Local ordering: consider the minimum of every block that may hold
+         one of my own items. *)
+      if local_ordering then
+        for i = 0 to n - 1 do
+          let b = blocks.(i) in
+          if Bloom.covers (Block.filter b) mine then begin
+            let f = Block.filled b in
+            if f > 0 then begin
+              let its = Block.items b in
+              let j = Block.peek_min_index ~alive b its f in
+              if j >= 0 then begin
+                let key = Item.key its.(j) in
+                if !best_i < 0 || key < !best_key then begin
+                  best_its := its;
+                  best_i := j;
+                  best_key := key
+                end
+              end
+            end
+          end
+        done;
+      if !best_i < 0 then None else Some !best_its.(!best_i)
     end
 
   (** Invariant checks for tests: strictly decreasing levels, per-block

@@ -52,14 +52,16 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     filter : Bloom.t;  (** singleton filter stamped on created blocks *)
     alive : 'v Item.t -> bool;
     obs : Obs.handle;  (** the owning thread's observability shard *)
-    pool : 'v Block.Pool.t;
-        (** the owning thread's block pool (§4.4 reuse); may be shared with
+    pool : 'v Block.Pool.t option;
+        (** the owning thread's block pool (§4.4 reuse), always [Some]:
+            boxed once here so the [?pool] calls of the insert path pass it
+            through instead of allocating an option each; may be shared with
             the same thread's other components ({!Klsm.register}) *)
   }
 
   let create ?(obs = Obs.null_handle) ?pool ~tid ~hasher ~alive () =
     let pool =
-      match pool with Some p -> p | None -> Block.Pool.create ~obs ()
+      match pool with Some _ -> pool | None -> Some (Block.Pool.create ~obs ())
     in
     {
       blocks = Array.init max_levels (fun _ -> B.make None);
@@ -99,7 +101,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   let insert t item ~max_level ~spill =
     let alive = t.alive in
     let pool = t.pool in
-    let b = ref (Block.singleton ~pool ~filter:t.filter item) in
+    let b = ref (Block.singleton ?pool ~filter:t.filter item) in
     let i = ref (B.get t.size) in
     let continue_merge = ref true in
     while !continue_merge && !i > 0 do
@@ -110,7 +112,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
             Obs.incr t.obs c_merge;
             (* [merge] retires the private cascade intermediate [!b] into
                the pool; [prev] is published and stays untouched. *)
-            b := Block.shrink ~pool ~alive (Block.merge ~pool ~alive prev !b);
+            b := Block.shrink ?pool ~alive (Block.merge ?pool ~alive prev !b);
             decr i
           end
           else continue_merge := false
@@ -119,7 +121,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       (* Everything merged away (all items dead): just drop the blocks we
          consumed.  The never-published merge result goes back to the
          pool. *)
-      Block.retire ~pool !b;
+      Block.retire ?pool !b;
       B.set t.size !i
     end
     else if Block.level !b > max_level then begin
@@ -152,29 +154,32 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 
   (** Minimal alive item across the thread-local blocks, cleaning dead
       tails opportunistically (the owner may decrement [filled] in place;
-      spies tolerate stale values).  [None] iff no alive item remains. *)
+      spies tolerate stale values).  [None] iff no alive item remains.
+      The running best is an (items array, index) pair and its key a raw
+      int, so the loop allocates nothing; only the result is boxed. *)
   let find_min t =
     let alive = t.alive in
     let n = B.get t.size in
-    (* Track the running best's key as a raw int: the loop never compares
-       options structurally (polymorphic compare was the old hot-loop
-       cost). *)
-    let best = ref None in
-    let best_key = ref max_int in
+    let best_its = ref [||] and best_i = ref (-1) and best_key = ref max_int in
     for i = 0 to n - 1 do
       match B.get t.blocks.(i) with
       | None -> ()
-      | Some b -> (
-          match Block.peek_min ~alive b with
-          | None -> ()
-          | Some it ->
-              let key = Item.key it in
-              if Option.is_none !best || key < !best_key then begin
-                best := Some it;
+      | Some b ->
+          let f = Block.filled b in
+          if f > 0 then begin
+            let its = Block.items b in
+            let j = Block.peek_min_index ~alive b its f in
+            if j >= 0 then begin
+              let key = Item.key its.(j) in
+              if !best_i < 0 || key < !best_key then begin
+                best_its := its;
+                best_i := j;
                 best_key := key
-              end)
+              end
+            end
+          end
     done;
-    !best
+    if !best_i < 0 then None else Some !best_its.(!best_i)
 
   (** Rebuild the LSM without dead items, merging underflowing blocks.  The
       rebuilt blocks are published slot-by-slot before [size] shrinks, so
@@ -199,13 +204,13 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
        recycle their inputs through the pool. *)
     let rec go stack b =
       if Block.is_empty b then begin
-        Block.retire ~pool b;
+        Block.retire ?pool b;
         stack
       end
       else
         match stack with
         | top :: rest when Block.level top <= Block.level b ->
-            go rest (Block.shrink ~pool ~alive (Block.merge ~pool ~alive top b))
+            go rest (Block.shrink ?pool ~alive (Block.merge ?pool ~alive top b))
         | _ -> b :: stack
     in
     let stack =
@@ -215,8 +220,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
              the middle of the block too, so consolidate is a full
              cleanup.  The published original is never recycled. *)
           let b =
-            Block.shrink ~pool ~alive
-              (Block.copy ~pool ~alive b (Block.level b))
+            Block.shrink ?pool ~alive
+              (Block.copy ?pool ~alive b (Block.level b))
           in
           go stack b)
         [] !survivors
@@ -274,9 +279,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
           if ok then begin
             (* Copies draw from the spying thread's own pool ([t] is ours;
                [victim] is only read). *)
-            let copy = Block.copy ~pool:t.pool ~alive b lvl in
-            let copy = Block.shrink ~pool:t.pool ~alive copy in
-            if Block.is_empty copy then Block.retire ~pool:t.pool copy
+            let copy = Block.copy ?pool:t.pool ~alive b lvl in
+            let copy = Block.shrink ?pool:t.pool ~alive copy in
+            if Block.is_empty copy then Block.retire ?pool:t.pool copy
             else begin
               Block.publish copy;
               B.set t.blocks.(!n) (Some copy);

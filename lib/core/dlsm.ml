@@ -102,35 +102,32 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       | Some victim -> Dist_lsm.spy h.dist ~victim
     end
 
-  let try_delete_min h =
-    let rec outer () =
-      let rec take_loop () =
-        match Dist_lsm.find_min h.dist with
-        | None -> None
-        | Some item ->
-            if Item.take item then Some (Item.key item, Item.value item)
-            else begin
-              Obs.incr h.obs c_take_race;
-              take_loop ()
-            end
-      in
-      match take_loop () with
-      | Some kv -> Some kv
-      | None ->
-          (* Spy must start from an empty local LSM (§4.2): clean out
-             logically deleted leftovers first. *)
-          Dist_lsm.consolidate h.dist;
-          Obs.incr h.obs c_spy_attempt;
-          if spy_once h then begin
-            Obs.incr h.obs c_spy_success;
-            outer ()
-          end
-          else begin
-            Obs.incr h.obs c_delete_empty;
-            None
-          end
-    in
-    outer ()
+  let rec take_loop h =
+    match Dist_lsm.find_min h.dist with
+    | None -> None
+    | Some item ->
+        if Item.take item then Some (Item.key item, Item.value item)
+        else begin
+          Obs.incr h.obs c_take_race;
+          take_loop h
+        end
+
+  let rec try_delete_min h =
+    match take_loop h with
+    | Some _ as kv -> kv
+    | None ->
+        (* Spy must start from an empty local LSM (§4.2): clean out
+           logically deleted leftovers first. *)
+        Dist_lsm.consolidate h.dist;
+        Obs.incr h.obs c_spy_attempt;
+        if spy_once h then begin
+          Obs.incr h.obs c_spy_success;
+          try_delete_min h
+        end
+        else begin
+          Obs.incr h.obs c_delete_empty;
+          None
+        end
 
   (* Batched delete (Pq_intf): the distributed LSM has no shared component
      to claim a run from; plain loop. *)

@@ -60,9 +60,12 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     tid : int;
     dist : 'v Dist_lsm.t;
     shared_h : 'v Shared_klsm.handle;
-    spill_tx : 'v Block.t -> 'v Block.t;
-        (** the spill policy pre-applied to this thread ([Fun.id] when the
-            queue has no durability tier) *)
+    share : 'v Block.t -> unit;
+        (** publish a block into the shared component through the
+            durability policy pre-applied to this thread; every path a
+            block takes into [t.shared] funnels here.  Built once at
+            registration, so it doubles as the DistLSM spill callback
+            without a closure per insert. *)
     rng : Xoshiro.t;
     obs : Obs.handle;
     pool : 'v Block.Pool.t;
@@ -122,28 +125,28 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       Dist_lsm.create ~obs ~pool ~tid ~hasher:t.hasher ~alive:t.alive ()
     in
     B.set t.dists.(tid) (Some dist);
+    let shared_h =
+      Shared_klsm.register ~obs ~pool t.shared ~tid ~rng:(Xoshiro.split rng)
+    in
     {
       t;
       tid;
       dist;
-      shared_h =
-        Shared_klsm.register ~obs ~pool t.shared ~tid ~rng:(Xoshiro.split rng);
-      spill_tx =
+      shared_h;
+      share =
         (match t.spill_policy with
-        | None -> Fun.id
-        | Some p -> fun block -> p ~alive:t.alive ~tid block);
+        | None -> Shared_klsm.insert shared_h
+        | Some p ->
+            fun block ->
+              Shared_klsm.insert shared_h (p ~alive:t.alive ~tid block));
       rng;
       obs;
       pool;
     }
 
-  (* Publish a block into the shared component, through the durability
-     policy.  Every path a block takes into [t.shared] funnels here. *)
-  let share h block = Shared_klsm.insert h.shared_h (h.spill_tx block)
-
   (** Insert a block directly into the shared component (recovery path:
       [Spill.recover] links rebuilt cold blocks through this). *)
-  let adopt_block h block = share h block
+  let adopt_block h block = h.share block
 
   (** Insert a key (§4.3): a fresh item goes into the thread-local LSM; if
       the merge cascade produces a block too large to stay local (level
@@ -157,7 +160,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       | Some l -> l
       | None -> Dist_lsm.max_level_for_k (Shared_klsm.get_k h.t.shared)
     in
-    Dist_lsm.insert h.dist item ~max_level ~spill:(fun block -> share h block)
+    Dist_lsm.insert h.dist item ~max_level ~spill:h.share
 
   (** Bulk insertion: a whole batch becomes one sorted block inserted into
       the shared component with a single CAS — the LSM's natural strength
@@ -185,7 +188,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         block.Block.filter <-
           Klsm_primitives.Bloom.singleton ~hasher:h.t.hasher h.tid;
         Array.iter (fun it -> Block.append ~alive:h.t.alive block it) items;
-        share h block
+        h.share block
 
   (* Spy on one random other thread (Listing 5's fallback when both
      components look empty). *)
@@ -201,54 +204,52 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       | Some victim -> Dist_lsm.spy h.dist ~victim
     end
 
+  (* One round of Listing 5's race: the thread-local minimum against the
+     shared k-LSM's relaxed minimum, then the test-and-set; a lost race
+     retries.  [None] = both components look empty. *)
+  let rec take_loop h =
+    let local = Dist_lsm.find_min h.dist in
+    let shared = Shared_klsm.find_min h.shared_h in
+    (* [from_shared] records which component supplied the winning
+       candidate — the split the paper's §4.3 design argument is about
+       (most deletes should be served locally). *)
+    match (local, shared) with
+    | None, None -> None
+    | None, Some sh -> take h sh ~from_shared:true
+    | Some it, Some sh when Item.key sh < Item.key it ->
+        take h sh ~from_shared:true
+    | Some it, _ -> take h it ~from_shared:false
+
+  and take h item ~from_shared =
+    if Item.take item then begin
+      Obs.incr h.obs (if from_shared then c_delete_shared else c_delete_local);
+      Some (Item.key item, Item.value item)
+    end
+    else begin
+      Obs.incr h.obs c_take_race;
+      take_loop h
+    end
+
   (** Listing 5's [delete_min]: race the thread-local minimum against the
       shared k-LSM's relaxed minimum, attempt the test-and-set, retry on
       lost races, and spy on other threads' local LSMs before reporting
       empty.  Lock-free: every retry implies another thread succeeded. *)
-  let try_delete_min h =
-    let rec outer () =
-      let rec take_loop () =
-        let local = Dist_lsm.find_min h.dist in
-        (* [from_shared] records which component supplied the winning
-           candidate — the split the paper's §4.3 design argument is
-           about (most deletes should be served locally). *)
-        let shared = Shared_klsm.find_min h.shared_h in
-        let candidate, from_shared =
-          match (local, shared) with
-          | None, sh -> (sh, true)
-          | Some it, Some sh when Item.key sh < Item.key it -> (Some sh, true)
-          | Some _, _ -> (local, false)
-        in
-        match candidate with
-        | None -> None
-        | Some item ->
-            if Item.take item then begin
-              Obs.incr h.obs
-                (if from_shared then c_delete_shared else c_delete_local);
-              Some (Item.key item, Item.value item)
-            end
-            else begin
-              Obs.incr h.obs c_take_race;
-              take_loop ()
-            end
-      in
-      match take_loop () with
-      | Some kv -> Some kv
-      | None ->
-          (* §4.2 requires spy to start from an empty local LSM; ours may
-             still hold logically deleted items, so clean it first. *)
-          Dist_lsm.consolidate h.dist;
-          Obs.incr h.obs c_spy_attempt;
-          if spy_once h then begin
-            Obs.incr h.obs c_spy_success;
-            outer ()
-          end
-          else begin
-            Obs.incr h.obs c_delete_empty;
-            None
-          end
-    in
-    outer ()
+  let rec try_delete_min h =
+    match take_loop h with
+    | Some _ as kv -> kv
+    | None ->
+        (* §4.2 requires spy to start from an empty local LSM; ours may
+           still hold logically deleted items, so clean it first. *)
+        Dist_lsm.consolidate h.dist;
+        Obs.incr h.obs c_spy_attempt;
+        if spy_once h then begin
+          Obs.incr h.obs c_spy_success;
+          try_delete_min h
+        end
+        else begin
+          Obs.incr h.obs c_delete_empty;
+          None
+        end
 
   (** Batched delete-min (DESIGN.md §17): when the shared component holds
       the minimum, claim a whole run of it with one CAS
@@ -347,7 +348,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         let b = Block.copy ~alive:h.t.alive block (Block.level block) in
         b.Block.filter <- Klsm_primitives.Bloom.full;
         let b = Block.shrink ~alive:h.t.alive b in
-        if not (Block.is_empty b) then share h b
+        if not (Block.is_empty b) then h.share b
       end
     in
     List.iter adopt (Shared_klsm.steal_all src.shared);

@@ -175,6 +175,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     dist : 'v Dist_lsm.t;
     spill_tx : 'v Block.t -> 'v Block.t;
         (** the spill policy pre-applied to this thread *)
+    spill : 'v Block.t -> unit;
+        (** {!spill_to_home} on this handle, built once at registration:
+            the DistLSM spill callback, without a closure per insert *)
     stripe_hs : 'v Shared_klsm.handle array;  (** one handle per stripe *)
     mutable home : int;  (** current home stripe (spill target) *)
     mutable rr : int;  (** second-chance rotation counter *)
@@ -389,6 +392,28 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
           end
         end
 
+  (* Spill a block to the home stripe; act on a pending migration after the
+     publish completed (a {!Shared_klsm.insert} retries on its stripe until
+     it wins, so the decision applies to the next spill).  A shrink that
+     left this handle's home above the active range is picked up here too:
+     the stale home is still raced by every reader (nothing is ever lost in
+     a deactivated stripe), so the publish proceeds and the re-home applies
+     to the next spill, exactly like contention migration. *)
+  let spill_to_home h block =
+    let block = h.spill_tx block in
+    if h.t.adapt <> None && h.home >= active_stripes h.t then
+      h.migrate_pending <- true;
+    B.fault_point "sharded.spill.publish";
+    Shared_klsm.insert h.stripe_hs.(h.home) block;
+    if h.migrate_pending && h.t.num_stripes > 1 then begin
+      B.fault_point "sharded.migrate";
+      h.migrate_pending <- false;
+      h.fail_streak <- 0;
+      h.home <- (h.home + 1) mod max 1 (active_stripes h.t);
+      Obs.incr h.obs c_migrate
+    end
+    else h.migrate_pending <- false
+
   let register t tid =
     if tid < 0 || tid >= t.num_threads then
       invalid_arg "Sharded_klsm.register: tid";
@@ -405,7 +430,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         t.stripes
     in
     let home = tid mod active_stripes t in
-    let h =
+    let rec h =
       {
         t;
         tid;
@@ -414,6 +439,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
           (match t.spill_policy with
           | None -> Fun.id
           | Some p -> fun block -> p ~alive:t.alive ~tid block);
+        spill = (fun block -> spill_to_home h block);
         stripe_hs;
         home;
         rr = 0;
@@ -470,28 +496,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       stripe_hs;
     h
 
-  (* Spill a block to the home stripe; act on a pending migration after the
-     publish completed (a {!Shared_klsm.insert} retries on its stripe until
-     it wins, so the decision applies to the next spill).  A shrink that
-     left this handle's home above the active range is picked up here too:
-     the stale home is still raced by every reader (nothing is ever lost in
-     a deactivated stripe), so the publish proceeds and the re-home applies
-     to the next spill, exactly like contention migration. *)
-  let spill_to_home h block =
-    let block = h.spill_tx block in
-    if h.t.adapt <> None && h.home >= active_stripes h.t then
-      h.migrate_pending <- true;
-    B.fault_point "sharded.spill.publish";
-    Shared_klsm.insert h.stripe_hs.(h.home) block;
-    if h.migrate_pending && h.t.num_stripes > 1 then begin
-      B.fault_point "sharded.migrate";
-      h.migrate_pending <- false;
-      h.fail_streak <- 0;
-      h.home <- (h.home + 1) mod max 1 (active_stripes h.t);
-      Obs.incr h.obs c_migrate
-    end
-    else h.migrate_pending <- false
-
   (* §4.3 [insert] with the partitioned spill rule: local blocks spill at
      the level bound of the {e per-stripe} budget ceil(k/S), so each
      thread-local LSM holds at most ceil(k/S) items — the per-term bound
@@ -508,7 +512,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
           let kp = stripe_k ~k:(B.get h.t.k) ~shards:h.t.num_stripes in
           Dist_lsm.max_level_for_k (max 0 (kp - h.t.buf_cap))
     in
-    Dist_lsm.insert h.dist item ~max_level ~spill:(fun b -> spill_to_home h b)
+    Dist_lsm.insert h.dist item ~max_level ~spill:h.spill
 
   (** Flush the insertion buffer into the thread-local LSM (no-op when
       empty).  Items leave the buffer one by one {e after} entering the
@@ -659,13 +663,28 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         done;
         !ok
 
+  (* Consult stripe [i]: its relaxed minimum replaces the running best of a
+     race (kept directly in the candidate-cache fields) if it undercuts
+     it. *)
+  let consult h i =
+    match Shared_klsm.find_min h.stripe_hs.(i) with
+    | None -> ()
+    | Some it as found ->
+        let key = Item.key it in
+        if Option.is_none h.cached || key < h.cached_key then begin
+          h.cached <- found;
+          h.cached_key <- key;
+          h.cached_stripe <- i
+        end
+
   (* The full race: a primary stripe (the sticky stripe while the
      stickiness window is open, the home stripe otherwise), then every
      other stripe whose min hint undercuts the best so far (scanned from a
      rotating offset).  Every stripe is thus either consulted (candidate
      within its ceil(k/S) relaxation) or certified by its hint to hold
      nothing smaller — the case split the DESIGN §12 rank bound sums over,
-     regardless of which stripe went first. *)
+     regardless of which stripe went first.  The race refills the
+     candidate cache as it goes. *)
   let race h =
     let s = h.t.num_stripes in
     (* Observation tokens first: a publish landing between the token read
@@ -673,20 +692,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     for j = 0 to s - 1 do
       h.cached_ptrs.(j) <- Shared_klsm.peek_shared h.t.stripes.(j)
     done;
-    let best = ref None in
-    let best_key = ref max_int in
-    let best_stripe = ref (-1) in
-    let consult i =
-      match Shared_klsm.find_min h.stripe_hs.(i) with
-      | None -> ()
-      | Some it ->
-          let key = Item.key it in
-          if Option.is_none !best || key < !best_key then begin
-            best := Some it;
-            best_key := key;
-            best_stripe := i
-          end
-    in
+    h.cached <- None;
+    h.cached_key <- max_int;
+    h.cached_stripe <- -1;
     let primary =
       if h.t.sticky_window > 0 && h.sticky_left > 0 then begin
         h.sticky_left <- h.sticky_left - 1;
@@ -695,7 +703,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       end
       else h.home
     in
-    consult primary;
+    consult h primary;
     if s > 1 then begin
       (* Rotating scan offset: when several stripes undercut the current
          best they are consulted in a different order each race, so no
@@ -704,17 +712,14 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       let start = h.rr mod s in
       for d = 0 to s - 1 do
         let j = (start + d) mod s in
-        if j <> primary && Shared_klsm.min_hint h.t.stripes.(j) < !best_key
+        if j <> primary && Shared_klsm.min_hint h.t.stripes.(j) < h.cached_key
         then begin
           Obs.incr h.obs c_hint_consult;
-          consult j
+          consult h j
         end
       done
     end;
-    h.cached <- !best;
-    h.cached_key <- !best_key;
-    h.cached_stripe <- !best_stripe;
-    !best
+    h.cached
 
   (** Relaxed minimum of the striped shared component (cache first, race on
       a miss).  The returned item may be taken concurrently; the combined
@@ -795,6 +800,90 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         h.cached <- None;
         Some (key, value)
 
+  (* One round of the race: local minimum, deletion-buffer head and the
+     striped shared minimum, then the serve or the test-and-set; a lost
+     race retries.  [None] = everything looks empty. *)
+  let rec take_loop h =
+    let local = local_min_flushing h in
+    let local_key =
+      match local with Some it -> Item.key it | None -> max_int
+    in
+    let dhead = match h.dbuf with [] -> max_int | (key, _) :: _ -> key in
+    let best_known = min local_key dhead in
+    let shared =
+      if best_known < max_int && stripes_certified_above h best_known
+      then begin
+        Obs.incr h.obs c_hint_skip;
+        None
+      end
+      else stripes_find_min h
+    in
+    let shared_key =
+      match shared with Some it -> Item.key it | None -> max_int
+    in
+    if dhead < max_int && dhead <= local_key && dhead <= shared_key then begin
+      (* Deletion-buffer hit: the claimed head is still the best known
+         candidate (ties go to the buffer — its item is already deleted,
+         so serving it costs nothing). *)
+      match h.dbuf with
+      | kv :: rest ->
+          h.dbuf <- rest;
+          h.dbuf_len <- h.dbuf_len - 1;
+          if h.dbuf_len = 0 then h.dbuf_age <- 0;
+          Obs.incr h.obs c_dbuf_hit;
+          Obs.incr h.obs c_delete_shared;
+          Some kv
+      | [] -> assert false
+    end
+    else
+      match (local, shared) with
+      | None, None -> None
+      | None, Some sh -> take h sh ~from_shared:true ~local_key
+      | Some it, Some sh when Item.key sh < Item.key it ->
+          take h sh ~from_shared:true ~local_key
+      | Some it, _ -> take h it ~from_shared:false ~local_key
+
+  and take h item ~from_shared ~local_key =
+    match
+      if
+        from_shared && h.t.dbuf_cap > 0 && h.dbuf_len = 0
+        && h.cached_stripe >= 0
+      then claim_batch h ~local_key
+      else None
+    with
+    | Some _ as kv -> kv
+    | None ->
+        if Item.take item then begin
+          if from_shared then begin
+            Obs.incr h.obs c_delete_shared;
+            if h.t.sticky_window > 0 && h.cached_stripe >= 0 then begin
+              h.sticky_stripe <- h.cached_stripe;
+              h.sticky_left <- h.t.sticky_window
+            end
+          end
+          else Obs.incr h.obs c_delete_local;
+          Some (Item.key item, Item.value item)
+        end
+        else begin
+          Obs.incr h.obs c_take_race;
+          take_loop h
+        end
+
+  let rec delete_loop h =
+    match take_loop h with
+    | Some _ as kv -> kv
+    | None ->
+        Dist_lsm.consolidate h.dist;
+        Obs.incr h.obs c_spy_attempt;
+        if spy_once h then begin
+          Obs.incr h.obs c_spy_success;
+          delete_loop h
+        end
+        else begin
+          Obs.incr h.obs c_delete_empty;
+          None
+        end
+
   (** Listing 5's [delete_min] over the striped shared component: race the
       thread-local minimum against {!stripes_find_min}, test-and-set, retry
       lost races, spy before reporting empty.  A successful shared delete
@@ -808,93 +897,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       claims a fresh run via {!claim_batch}. *)
   let try_delete_min h =
     dbuf_tick h;
-    let rec outer () =
-      let rec take_loop () =
-        let local = local_min_flushing h in
-        let local_key =
-          match local with Some it -> Item.key it | None -> max_int
-        in
-        let dhead =
-          match h.dbuf with [] -> max_int | (key, _) :: _ -> key
-        in
-        let best_known = min local_key dhead in
-        let shared =
-          if best_known < max_int && stripes_certified_above h best_known
-          then begin
-            Obs.incr h.obs c_hint_skip;
-            None
-          end
-          else stripes_find_min h
-        in
-        let shared_key =
-          match shared with Some it -> Item.key it | None -> max_int
-        in
-        if dhead < max_int && dhead <= local_key && dhead <= shared_key then begin
-          (* Deletion-buffer hit: the claimed head is still the best known
-             candidate (ties go to the buffer — its item is already
-             deleted, so serving it costs nothing). *)
-          match h.dbuf with
-          | (key, value) :: rest ->
-              h.dbuf <- rest;
-              h.dbuf_len <- h.dbuf_len - 1;
-              if h.dbuf_len = 0 then h.dbuf_age <- 0;
-              Obs.incr h.obs c_dbuf_hit;
-              Obs.incr h.obs c_delete_shared;
-              Some (key, value)
-          | [] -> assert false
-        end
-        else
-          let candidate, from_shared =
-            match (local, shared) with
-            | None, sh -> (sh, true)
-            | Some it, Some sh when Item.key sh < Item.key it ->
-                (Some sh, true)
-            | Some _, _ -> (local, false)
-          in
-          match candidate with
-          | None -> None
-          | Some item -> (
-              match
-                if
-                  from_shared && h.t.dbuf_cap > 0 && h.dbuf_len = 0
-                  && h.cached_stripe >= 0
-                then claim_batch h ~local_key
-                else None
-              with
-              | Some kv -> Some kv
-              | None ->
-                  if Item.take item then begin
-                    if from_shared then begin
-                      Obs.incr h.obs c_delete_shared;
-                      if h.t.sticky_window > 0 && h.cached_stripe >= 0
-                      then begin
-                        h.sticky_stripe <- h.cached_stripe;
-                        h.sticky_left <- h.t.sticky_window
-                      end
-                    end
-                    else Obs.incr h.obs c_delete_local;
-                    Some (Item.key item, Item.value item)
-                  end
-                  else begin
-                    Obs.incr h.obs c_take_race;
-                    take_loop ()
-                  end)
-      in
-      match take_loop () with
-      | Some kv -> Some kv
-      | None ->
-          Dist_lsm.consolidate h.dist;
-          Obs.incr h.obs c_spy_attempt;
-          if spy_once h then begin
-            Obs.incr h.obs c_spy_success;
-            outer ()
-          end
-          else begin
-            Obs.incr h.obs c_delete_empty;
-            None
-          end
-    in
-    outer ()
+    delete_loop h
 
   (** Relaxed peek; advisory on a concurrent queue (see
       {!Klsm.try_find_min}).  Flushes the insertion buffer when a buffered
@@ -921,9 +924,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       match shared with Some it -> Item.key it | None -> max_int
     in
     if dhead < max_int && dhead <= local_key && dhead <= shared_key then
-      match h.dbuf with
-      | (key, value) :: _ -> Some (key, value)
-      | [] -> assert false
+      match h.dbuf with kv :: _ -> Some kv | [] -> assert false
     else
       let candidate =
         match (local, shared) with

@@ -16,6 +16,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   module Item = Item.Make (B)
   module Block = Block.Make (B)
   module Block_array = Block_array.Make (B)
+  module Bloom = Klsm_primitives.Bloom
   module Xoshiro = Klsm_primitives.Xoshiro
   module Tabular_hash = Klsm_primitives.Tabular_hash
   module Obs = Klsm_obs.Obs
@@ -58,6 +59,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   type 'v handle = {
     q : 'v t;
     tid : int;
+    mine : Bloom.t;
+        (** this thread's Bloom bits ({!Bloom.singleton} of [tid]), hashed
+            once here so local-ordering tests are plain bit tests *)
     rng : Xoshiro.t;
     obs : Obs.handle;
     pool : 'v Block.Pool.t;
@@ -114,6 +118,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     {
       q;
       tid;
+      mine = Bloom.singleton ~hasher:q.hasher tid;
       rng;
       obs;
       pool;
@@ -202,6 +207,83 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     attempt false;
     Obs.span_end h.obs s_insert t0
 
+  let rec find_min_loop h =
+    let alive = h.q.alive in
+    if B.get h.q.shared != h.observed then refresh_snapshot h;
+    match h.snapshot with
+    | None -> None
+    | Some snap -> (
+        match
+          Block_array.find_min ~local_ordering:h.q.local_ordering ~alive
+            ~rng:h.rng ~mine:h.mine snap
+        with
+        | None ->
+            (* [find_min] returning [None] means every block looked
+               structurally empty.  Re-verify before publishing emptiness:
+               racing [filled] updates must never cause live items to be
+               disconnected by an over-eager [None] push. *)
+            if Option.is_some h.observed then begin
+              if Block_array.total_filled snap = 0 then begin
+                Obs.incr h.obs c_empty_publish;
+                ignore (push_snapshot h None);
+                refresh_snapshot h
+              end
+              else begin
+                (* Stale view: rebuild and retry.  The pivot rescan is
+                   skipped when the consolidation changed no block
+                   physically — the restored pivots are still sound
+                   (candidate ranges only shrink under deletion). *)
+                Obs.incr h.obs c_consolidate;
+                let changed = ref true in
+                ignore
+                  (Block_array.consolidate ~pool:h.pool ~scratch:h.scratch
+                     ~changed ~alive snap);
+                if !changed then begin
+                  Obs.incr h.obs c_pivots;
+                  Block_array.calculate_pivots ~scratch:h.scratch snap
+                    ~k:(B.get h.q.k)
+                end
+              end
+            end;
+            if Option.is_none h.snapshot then None else find_min_loop h
+        | Some item as found ->
+            if alive item then found
+            else begin
+              (* Deleted minimum: clean up, publish if we restructured. *)
+              Obs.incr h.obs c_consolidate;
+              let changed = ref true in
+              let push =
+                Block_array.consolidate ~pool:h.pool ~scratch:h.scratch
+                  ~changed ~alive snap
+              in
+              if Block_array.is_empty snap then begin
+                (* Whether or not our CAS wins, someone published a newer
+                   state; re-snapshot either way. *)
+                Obs.incr h.obs c_empty_publish;
+                ignore (push_snapshot h None);
+                refresh_snapshot h
+              end
+              else begin
+                (* As above: an all-in-place consolidation (the common
+                   shape of a delete retry whose CAS raced but whose view
+                   is otherwise current) keeps its restored pivots and
+                   skips the rescan. *)
+                if !changed then begin
+                  Obs.incr h.obs c_pivots;
+                  Block_array.calculate_pivots ~scratch:h.scratch snap
+                    ~k:(B.get h.q.k)
+                end;
+                if push then begin
+                  (* As in [insert]: a successfully pushed snapshot is
+                     shared from now on, so leave [observed] stale and let
+                     the next iteration re-copy. *)
+                  ignore (push_snapshot h (Some snap));
+                  refresh_snapshot h
+                end
+              end;
+              find_min_loop h
+            end)
+
   (** Listing 3's [find_min]: return an item that was alive in the calling
       thread's consistent snapshot, or [None] if the queue (as observed) is
       empty.  Encountering a logically deleted minimum triggers a
@@ -210,85 +292,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       The returned item may have been taken concurrently — the combined
       queue's delete-min loop handles that. *)
   let find_min h =
-    let alive = h.q.alive in
     let t0 = Obs.span_begin h.obs in
-    let rec loop () =
-      if B.get h.q.shared != h.observed then refresh_snapshot h;
-      match h.snapshot with
-      | None -> None
-      | Some snap -> (
-          match
-            Block_array.find_min ~local_ordering:h.q.local_ordering ~alive
-              ~rng:h.rng ~my_tid:h.tid ~hasher:h.q.hasher snap
-          with
-          | None ->
-              (* [find_min] returning [None] means every block looked
-                 structurally empty.  Re-verify before publishing emptiness:
-                 racing [filled] updates must never cause live items to be
-                 disconnected by an over-eager [None] push. *)
-              if Option.is_some h.observed then begin
-                if Block_array.total_filled snap = 0 then begin
-                  Obs.incr h.obs c_empty_publish;
-                  ignore (push_snapshot h None);
-                  refresh_snapshot h
-                end
-                else begin
-                  (* Stale view: rebuild and retry.  The pivot rescan is
-                     skipped when the consolidation changed no block
-                     physically — the restored pivots are still sound
-                     (candidate ranges only shrink under deletion). *)
-                  Obs.incr h.obs c_consolidate;
-                  let changed = ref true in
-                  ignore
-                    (Block_array.consolidate ~pool:h.pool ~scratch:h.scratch
-                       ~changed ~alive snap);
-                  if !changed then begin
-                    Obs.incr h.obs c_pivots;
-                    Block_array.calculate_pivots ~scratch:h.scratch snap
-                      ~k:(B.get h.q.k)
-                  end
-                end
-              end;
-              if Option.is_none h.snapshot then None else loop ()
-          | Some item ->
-              if alive item then Some item
-              else begin
-                (* Deleted minimum: clean up, publish if we restructured. *)
-                Obs.incr h.obs c_consolidate;
-                let changed = ref true in
-                let push =
-                  Block_array.consolidate ~pool:h.pool ~scratch:h.scratch
-                    ~changed ~alive snap
-                in
-                if Block_array.is_empty snap then begin
-                  (* Whether or not our CAS wins, someone published a newer
-                     state; re-snapshot either way. *)
-                  Obs.incr h.obs c_empty_publish;
-                  ignore (push_snapshot h None);
-                  refresh_snapshot h
-                end
-                else begin
-                  (* As above: an all-in-place consolidation (the common
-                     shape of a delete retry whose CAS raced but whose view
-                     is otherwise current) keeps its restored pivots and
-                     skips the rescan. *)
-                  if !changed then begin
-                    Obs.incr h.obs c_pivots;
-                    Block_array.calculate_pivots ~scratch:h.scratch snap
-                      ~k:(B.get h.q.k)
-                  end;
-                  if push then begin
-                    (* As in [insert]: a successfully pushed snapshot is
-                       shared from now on, so leave [observed] stale and let
-                       the next iteration re-copy. *)
-                    ignore (push_snapshot h (Some snap));
-                    refresh_snapshot h
-                  end
-                end;
-                loop ()
-              end)
-    in
-    let r = loop () in
+    let r = find_min_loop h in
     Obs.span_end h.obs s_find_min t0;
     r
 

@@ -6,17 +6,13 @@ let full = -1  (* all 63 bits set: "may contain any thread" *)
 (* OCaml ints carry 63 bits, so the filter uses bit positions 0..62 (shifts
    beyond 62 are unspecified).  One bit fewer than the paper's 64 is an
    epsilon on the false-positive rate. *)
-let bits ~hasher tid =
+let singleton ~hasher tid =
   let h1, h2 = Tabular_hash.hash_pair hasher tid in
   (1 lsl (h1 mod 63)) lor (1 lsl (h2 mod 63))
 
-let singleton ~hasher tid = bits ~hasher tid
-
 let union a b = a lor b
 
-let may_contain ~hasher t tid =
-  let b = bits ~hasher tid in
-  t land b = b
+let covers t mine = t land mine = mine
 
 let is_empty t = t = 0
 

@@ -30,9 +30,11 @@ val singleton : hasher:Tabular_hash.t -> int -> t
 val union : t -> t -> t
 (** Filter of a merged block: bitwise or. *)
 
-val may_contain : hasher:Tabular_hash.t -> t -> int -> bool
-(** [may_contain ~hasher t tid] is [false] only if thread [tid] definitely
-    contributed nothing (no false negatives). *)
+val covers : t -> t -> bool
+(** [covers t (singleton ~hasher tid)] is [false] only if thread [tid]
+    definitely contributed nothing to [t] (no false negatives).  A plain
+    bit test: hot loops compute a thread's {!singleton} once and test
+    every block's filter against it. *)
 
 val is_empty : t -> bool
 

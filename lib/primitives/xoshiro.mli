@@ -10,7 +10,8 @@
     A [t] is not thread-safe; each thread/handle owns its own state. *)
 
 type t
-(** Mutable generator state (4 x 64-bit words). *)
+(** Mutable generator state (4 x 64-bit words, kept unboxed: drawing an
+    [int] or [bool] allocates nothing). *)
 
 val create : seed:int -> t
 (** [create ~seed] expands [seed] with splitmix64 into a full 256-bit state.

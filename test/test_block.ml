@@ -136,8 +136,8 @@ let test_merge_filter_union () =
   b2.Block.filter <- Bloom.singleton ~hasher 5;
   let m = Block.merge ~alive b1 b2 in
   check_bool "union contains both" true
-    (Bloom.may_contain ~hasher (Block.filter m) 3
-    && Bloom.may_contain ~hasher (Block.filter m) 5)
+    (Bloom.covers (Block.filter m) (Bloom.singleton ~hasher 3)
+    && Bloom.covers (Block.filter m) (Bloom.singleton ~hasher 5))
 
 (* ---------------- shrink ---------------- *)
 

@@ -194,7 +194,9 @@ let rng = Xoshiro.create ~seed:5
 let test_find_min_empty () =
   let t = Block_array.empty () in
   check_bool "none" true
-    (Block_array.find_min ~alive ~rng ~my_tid:0 ~hasher t = None)
+    (Block_array.find_min ~local_ordering:true ~alive ~rng
+       ~mine:(Bloom.singleton ~hasher 0) t
+    = None)
 
 let prop_find_min_within_k1_smallest =
   qtest "find_min returns one of the k+1 smallest" ~count:200
@@ -211,7 +213,10 @@ let prop_find_min_within_k1_smallest =
       let cutoff =
         List.nth all (min k (List.length all - 1))
       in
-      match Block_array.find_min ~alive ~rng ~my_tid:0 ~hasher t with
+      match
+        Block_array.find_min ~local_ordering:true ~alive ~rng
+          ~mine:(Bloom.singleton ~hasher 0) t
+      with
       | None -> false
       | Some it -> Item.key it <= cutoff)
 
@@ -228,7 +233,10 @@ let test_find_min_falls_back_on_taken () =
           if Item.key it <> 1 then ignore (Item.take it)))
     (Block_array.blocks t);
   for _ = 1 to 20 do
-    match Block_array.find_min ~alive ~rng ~my_tid:0 ~hasher t with
+    match
+      Block_array.find_min ~local_ordering:true ~alive ~rng
+        ~mine:(Bloom.singleton ~hasher 0) t
+    with
     | Some it ->
         (* Either an alive item (the min) or a taken one (caller retries);
            the alive one must be the true minimum. *)
@@ -252,7 +260,10 @@ let test_local_ordering_returns_my_min () =
   Block_array.calculate_pivots t ~k:16;
   for seed = 0 to 50 do
     let rng = Xoshiro.create ~seed in
-    match Block_array.find_min ~alive ~rng ~my_tid:3 ~hasher t with
+    match
+      Block_array.find_min ~local_ordering:true ~alive ~rng
+        ~mine:(Bloom.singleton ~hasher 3) t
+    with
     | Some it -> check_bool "never skips my min" true (Item.key it <= 50)
     | None -> Alcotest.fail "non-empty"
   done
@@ -278,7 +289,10 @@ let test_find_min_never_none_with_alive_items () =
     (t.Block_array.pivots.(0) > Block.filled (Block_array.blocks t).(0));
   for seed = 0 to 20 do
     let rng = Xoshiro.create ~seed in
-    match Block_array.find_min ~alive ~rng ~my_tid:0 ~hasher t with
+    match
+      Block_array.find_min ~local_ordering:true ~alive ~rng
+        ~mine:(Bloom.singleton ~hasher 0) t
+    with
     | Some it -> check_bool "alive item findable" true (Item.key it >= 8)
     | None -> Alcotest.fail "transient None on non-empty array (regression)"
   done
@@ -292,7 +306,9 @@ let test_local_ordering_disabled () =
   Block_array.calculate_pivots t ~k:3;
   let rng = Xoshiro.create ~seed:1 in
   match
-    Block_array.find_min ~local_ordering:false ~alive ~rng ~my_tid:0 ~hasher t
+    Block_array.find_min ~local_ordering:false ~alive ~rng
+      ~mine:(Bloom.singleton ~hasher 0)
+      t
   with
   | Some it -> check_bool "candidate small" true (Item.key it <= 6)
   | None -> Alcotest.fail "non-empty"

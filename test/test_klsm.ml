@@ -4,6 +4,7 @@
 
 open Helpers
 module B = Klsm_backend.Real
+module Sim = Klsm_backend.Sim
 module Klsm = Klsm_core.Klsm.Default
 module Dlsm = Klsm_core.Dlsm.Default
 
@@ -209,6 +210,112 @@ let test_consolidate_local_exposed () =
   (* Condemned items were filtered out of the local LSM. *)
   check_bool "shrunk" true (Klsm.approximate_size q <= 10)
 
+(* ---------------- allocation budget ---------------- *)
+
+(* Minor-heap words per call, averaged over [n] calls. *)
+let words_per n f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* The delete-min hot path allocates nothing but its result in steady
+   state: both find-min halves box only the returned option (2 words),
+   and a 50/50 mix op stays within the budget of its item, its result and
+   the blocks it publishes.  One domain, two handles, prefilled and warmed
+   up; keys and coin flips are drawn up front. *)
+let test_allocation_budget () =
+  let q = Klsm.create_with ~seed:5 ~k:256 ~num_threads:2 () in
+  let h0 = Klsm.register q 0 and h1 = Klsm.register q 1 in
+  let rng = Xoshiro.create ~seed:77 in
+  let n = 40_000 in
+  let keys = Array.init n (fun _ -> Xoshiro.int rng (1 lsl 28)) in
+  let coins = Array.init n (fun _ -> Xoshiro.bool rng) in
+  for i = 0 to 19_999 do
+    Klsm.insert (if i land 1 = 0 then h0 else h1) keys.(i) ()
+  done;
+  let next = ref 0 in
+  let mix () =
+    let j = !next mod n in
+    incr next;
+    if coins.(j) then Klsm.insert h0 keys.(j) ()
+    else ignore (Klsm.try_delete_min h0)
+  in
+  for _ = 1 to 5_000 do
+    mix ()
+  done;
+  let dist = Klsm.internal_dist h0 in
+  let dist_words =
+    words_per 1_000 (fun () -> ignore (Klsm.Dist_lsm.find_min dist))
+  in
+  let shared_words =
+    words_per 1_000 (fun () ->
+        ignore (Klsm.Shared_klsm.find_min h0.Klsm.shared_h))
+  in
+  let mix_words = words_per 20_000 mix in
+  let report what w bound =
+    check_bool (Printf.sprintf "%s: %.1f words <= %.0f" what w bound) true
+      (w <= bound)
+  in
+  report "Dist_lsm.find_min" dist_words 2.;
+  report "Shared_klsm.find_min" shared_words 4.;
+  report "mix op" mix_words 60.
+
+(* ---------------- golden Sim schedules ---------------- *)
+
+(* A fixed-seed Sim run is a pure function of the code's sequence of
+   ticks and atomic accesses.  These pin the popped-key sequence and the
+   virtual makespan of two runs, so a change that reorders a [B.tick],
+   [B.get], [B.set] or CAS on the queue paths (or perturbs an RNG stream)
+   shows up here, not only as a drifted benchmark number.  Changing the
+   expected values is legitimate only for a change that means to alter
+   the schedule, and says so. *)
+let golden_run spec ~threads ~seed =
+  Sim.configure ~seed ~policy:(Sim.Random_preempt 0.25) ();
+  let module R = Klsm_harness.Registry.Make (Sim) in
+  let spec =
+    match R.parse_spec spec with Ok s -> s | Error e -> failwith e
+  in
+  let inst = R.make ~seed ~num_threads:threads spec in
+  let got = Array.make threads [] in
+  Sim.parallel_run ~num_threads:threads (fun tid ->
+      let h = inst.R.register tid in
+      let rng = Xoshiro.create ~seed:(seed + (31 * tid)) in
+      for _ = 1 to 600 do
+        h.R.insert (Xoshiro.int rng 100_000) tid
+      done;
+      for _ = 1 to 1200 do
+        if Xoshiro.bool rng then h.R.insert (Xoshiro.int rng 100_000) tid
+        else
+          match h.R.try_delete_min () with
+          | Some (k, _) -> got.(tid) <- k :: got.(tid)
+          | None -> ()
+      done;
+      let misses = ref 0 in
+      while !misses < 32 do
+        match h.R.try_delete_min () with
+        | Some (k, _) ->
+            got.(tid) <- k :: got.(tid);
+            misses := 0
+        | None -> incr misses
+      done);
+  let per_thread =
+    Array.to_list
+      (Array.map
+         (fun l -> String.concat "," (List.rev_map string_of_int l))
+         got)
+  in
+  ( Array.fold_left (fun acc l -> acc + List.length l) 0 got,
+    Digest.to_hex (Digest.string (String.concat "|" per_thread)),
+    Printf.sprintf "%h" (Sim.makespan ()) )
+
+let test_golden spec ~threads ~pops ~digest ~makespan () =
+  let n, d, m = golden_run spec ~threads ~seed:2024 in
+  check_int "pops" pops n;
+  check_string "popped-key digest" digest d;
+  check_string "virtual makespan" makespan m
+
 let () =
   Alcotest.run "klsm"
     [
@@ -234,5 +341,21 @@ let () =
           Alcotest.test_case "empty" `Quick test_empty_queue;
           Alcotest.test_case "duplicates" `Quick test_duplicate_keys;
           Alcotest.test_case "consolidate_local" `Quick test_consolidate_local_exposed;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "steady-state budget" `Quick
+            test_allocation_budget;
+        ] );
+      ( "golden-sim",
+        [
+          Alcotest.test_case "klsm:256 T=4" `Quick
+            (test_golden "klsm:256" ~threads:4 ~pops:4768
+               ~digest:"ea1603ff1ee813ec4819dcd49968749e"
+               ~makespan:"0x1.1268a9288b568p-10");
+          Alcotest.test_case "klsm-sharded:1024:4 T=8" `Quick
+            (test_golden "klsm-sharded:1024:4" ~threads:8 ~pops:9657
+               ~digest:"50f01d9e8a537b171dc67159d6444c85"
+               ~makespan:"0x1.84876ace50f17p-10");
         ] );
     ]

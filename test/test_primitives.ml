@@ -104,6 +104,53 @@ let test_shuffle_permutes () =
   check_bool "same multiset" true (sorted = Array.init 50 Fun.id);
   check_bool "actually moved" true (a <> Array.init 50 Fun.id)
 
+(* Known answers for seed 42.  The stream must never change: every seeded
+   benchmark, Sim schedule and golden test downstream is a function of it,
+   so a representation change of the state has to reproduce these
+   exactly.  Draws are made in order, one helper call at a time. *)
+let test_rng_known_answers () =
+  let r = Xoshiro.create ~seed:42 in
+  let draws n f =
+    let rec go i acc =
+      if i = n then List.rev acc else go (i + 1) (f () :: acc)
+    in
+    go 0 []
+  in
+  Alcotest.(check (list int64))
+    "next"
+    [
+      1546998764402558742L;
+      6990951692964543102L;
+      -5902157311460992607L;
+      -1389169964527427423L;
+    ]
+    (draws 4 (fun () -> Xoshiro.next r));
+  check_list_int "int, power-of-two bound" [ 921; 142; 876; 33 ]
+    (draws 4 (fun () -> Xoshiro.int r 1024));
+  check_list_int "int, other bound" [ 239; 271; 412; 473 ]
+    (draws 4 (fun () -> Xoshiro.int r 1000));
+  check_list_int "int, bound 3" [ 2; 2; 0; 2 ]
+    (draws 4 (fun () -> Xoshiro.int r 3));
+  Alcotest.(check (list (float 0.0)))
+    "float"
+    [ 0x1.3bc82b3db539dp-1; 0x1.b3e966a9d8708p-1; 0x1.6a42be87da863p-1 ]
+    (draws 3 (fun () -> Xoshiro.float r));
+  Alcotest.(check (list bool))
+    "bool"
+    [ false; true; true; true; true; false; false; false ]
+    (draws 8 (fun () -> Xoshiro.bool r));
+  check_list_int "bits30" [ 847313216; 681886995 ]
+    (draws 2 (fun () -> Xoshiro.bits30 r));
+  let s = Xoshiro.split r in
+  Alcotest.(check (list int64))
+    "split child"
+    [ 7175719167728100748L; 2744294198334365333L ]
+    (draws 2 (fun () -> Xoshiro.next s));
+  Alcotest.(check int64) "after split" 7641949415949548541L (Xoshiro.next r);
+  let c = Xoshiro.copy r in
+  Alcotest.(check int64) "copy" (-6959378832267662534L) (Xoshiro.next c);
+  Alcotest.(check int64) "copied from" (-6959378832267662534L) (Xoshiro.next r)
+
 (* ---------------- Tabulation hashing ---------------- *)
 
 let test_hash_deterministic () =
@@ -148,11 +195,13 @@ let prop_bloom_no_false_negative =
           (fun acc tid -> Bloom.union acc (Bloom.singleton ~hasher tid))
           Bloom.empty tids
       in
-      List.for_all (fun tid -> Bloom.may_contain ~hasher f tid) tids)
+      List.for_all
+        (fun tid -> Bloom.covers f (Bloom.singleton ~hasher tid))
+        tids)
 
 let test_bloom_empty () =
   check_bool "empty contains nothing" false
-    (Bloom.may_contain ~hasher Bloom.empty 3);
+    (Bloom.covers Bloom.empty (Bloom.singleton ~hasher 3));
   check_bool "is_empty" true (Bloom.is_empty Bloom.empty)
 
 let test_bloom_false_positive_rate () =
@@ -160,7 +209,7 @@ let test_bloom_false_positive_rate () =
   let f = Bloom.singleton ~hasher 0 in
   let fp = ref 0 in
   for tid = 1 to 1000 do
-    if Bloom.may_contain ~hasher f tid then incr fp
+    if Bloom.covers f (Bloom.singleton ~hasher tid) then incr fp
   done;
   check_bool "fp rate small" true (!fp < 50)
 
@@ -175,7 +224,8 @@ let prop_bloom_union_monotone =
     (fun (a, b) ->
       let fa = Bloom.singleton ~hasher a and fb = Bloom.singleton ~hasher b in
       let u = Bloom.union fa fb in
-      Bloom.may_contain ~hasher u a && Bloom.may_contain ~hasher u b)
+      Bloom.covers u (Bloom.singleton ~hasher a)
+      && Bloom.covers u (Bloom.singleton ~hasher b))
 
 (* ---------------- Backoff ---------------- *)
 
@@ -309,6 +359,7 @@ let () =
           Alcotest.test_case "uniformity" `Quick test_int_uniformity;
           Alcotest.test_case "geometric mean" `Quick test_geometric_mean;
           Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutes;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
         ] );
       ( "tabular-hash",
         [
