@@ -894,7 +894,7 @@ let micro () =
   let merge_test =
     (* Cost of merging two 256-item blocks — the LSM's unit of work. *)
     let mk () =
-      let b = Blk.create_with_exemplar 8 (I.make 0 0) in
+      let b = Blk.create 8 in
       for i = 255 downto 0 do
         Blk.append ~alive:(fun _ -> true) b (I.make (i * 2) 0)
       done;
@@ -1273,11 +1273,7 @@ let store_section () =
                     let v = base + i in
                     (7919 * ((v * 31) mod 997), v))
               in
-              Array.sort (fun (a, _) (b, _) -> compare b a) pairs;
-              let blk =
-                Spill.Block.of_sorted_array ~filter:Bloom.empty
-                  (Array.map (fun (key, v) -> Spill.Item.make key v) pairs)
-              in
+              let blk = Spill.Block.of_pairs ~filter:Bloom.empty pairs in
               ignore (Spill.maybe_spill spill ~alive ~tid:0 blk)
             done;
             Spill.close spill;

@@ -151,10 +151,7 @@ let throughput_section ~root =
 let recovery_section ~root =
   let alive _ = true in
   let spill = Spill.create ~threshold:0 ~num_threads:2 ~root () in
-  let mk_block pairs =
-    Spill.Block.of_sorted_array ~filter:Bloom.empty
-      (Array.map (fun (k, v) -> Spill.Item.make k v) pairs)
-  in
+  let mk_block pairs = Spill.Block.of_pairs ~filter:Bloom.empty pairs in
   let expected = Hashtbl.create 64 in
   let planted = ref 0 in
   for tid = 0 to 1 do
@@ -167,7 +164,6 @@ let recovery_section ~root =
             incr planted;
             (k, v))
       in
-      Array.sort (fun (a, _) (b, _) -> compare b a) pairs;
       (* Drop the cold twin: durable object + S record, never linked —
          the mid-spill-kill row of the failure matrix. *)
       ignore (Spill.maybe_spill spill ~alive ~tid (mk_block pairs))

@@ -67,11 +67,7 @@ type outcome = {
   violations : string list;
 }
 
-let mk_block pairs =
-  let pairs = Array.copy pairs in
-  Array.sort (fun (a, _) (b, _) -> compare b a) pairs;
-  Spill.Block.of_sorted_array ~filter:Bloom.empty
-    (Array.map (fun (k, v) -> Spill.Item.make k v) pairs)
+let mk_block pairs = Spill.Block.of_pairs ~filter:Bloom.empty pairs
 
 let mode_name = function
   | Vfs.Process_kill -> "kill"

@@ -39,6 +39,25 @@ module type S = sig
   val fetch_and_add : int atomic -> int -> int
   (** Returns the previous value. *)
 
+  type 'v flagged
+  (** An immutable [int] key and ['v] value plus one atomic [bool] flag —
+      the shape of a queue item.  {!Real} keeps all three in one heap
+      block, so testing the flag of an item already in hand costs no
+      second cache miss; {!Sim} keeps a separate charged [atomic] for the
+      flag, exactly like any other cell. *)
+
+  val flagged : int -> 'v -> 'v flagged
+  (** [flagged key value] has its flag clear. *)
+
+  val flagged_key : 'v flagged -> int
+  val flagged_value : 'v flagged -> 'v
+
+  val get_flag : 'v flagged -> bool
+  (** An atomic read of the flag, like {!get}. *)
+
+  val cas_flag : 'v flagged -> bool -> bool -> bool
+  (** A CAS on the flag, like {!compare_and_set}. *)
+
   val tick : int -> unit
   (** [tick n] reports [n] units of thread-local sequential work (e.g. items
       moved by a merge).  No-op on {!Real}; advances the virtual clock on

@@ -10,6 +10,22 @@ let set = Atomic.set
 let compare_and_set = Atomic.compare_and_set
 let exchange = Atomic.exchange
 let fetch_and_add = Atomic.fetch_and_add
+
+(* The flag is field 0 of the record and is only ever accessed through
+   [Atomic] primitives, by the one cast below: OCaml 5.1 has no atomic
+   record fields, and the [Atomic] primitives address field 0 of their
+   argument whatever its size (the same representation fact
+   [Padded.copy_as_padded] relies on).  [mutable] keeps the compiler from
+   treating the block as immutable.  On OCaml >= 5.4 this becomes an
+   [[@atomic]] field. *)
+type 'v flagged = { mutable flag : bool; key : int; value : 'v }
+
+let flag_cell (c : 'v flagged) : bool Atomic.t = Obj.magic c
+let flagged key value = { flag = false; key; value }
+let flagged_key c = c.key
+let flagged_value c = c.value
+let get_flag c = Atomic.get (flag_cell c)
+let cas_flag c seen v = Atomic.compare_and_set (flag_cell c) seen v
 let tick _ = ()
 let cpu_relax = Domain.cpu_relax
 

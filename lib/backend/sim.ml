@@ -456,6 +456,16 @@ let fetch_and_add a d =
       a.v <- old + d;
       old
 
+(* The flag is an ordinary charged cell in its own block: the simulated
+   heap and the access sequence stay those of a record plus an atomic. *)
+type 'v flagged = { key : int; value : 'v; flag : bool atomic }
+
+let flagged key value = { key; value; flag = make false }
+let flagged_key c = c.key
+let flagged_value c = c.value
+let get_flag c = get c.flag
+let cas_flag c seen v = compare_and_set c.flag seen v
+
 let tick n =
   match !state with
   | None -> ()

@@ -210,32 +210,42 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
      pointer array, [2^level] words each. *)
   let bytes_per_slot = 2 * (Sys.word_size / 8)
 
-  let fresh level exemplar =
+  (* Unfilled slots are {!Item.vacant}: readers stop at [filled].  An
+     item borrowed from the input as filler forced a minor collection on
+     nearly every shared insert, because that item had been spilled
+     moments before.  A pooled block keeps its previous slot contents
+     instead — equally unread. *)
+  let fresh level =
     let cap = capacity_of_level level in
     {
       level;
-      payload = Resident (Array.make cap exemplar);
+      payload = Resident (Item.vacant cap);
       keys = Array.make cap 0;
       filled = B.make 0;
       filter = Bloom.empty;
       state = Private;
     }
 
-  (* A block of [lvl] from the pool, or a fresh one on a miss. *)
-  let pool_acquire (p : 'v Pool.t) lvl exemplar =
-    match if lvl <= Pool.max_level then p.Pool.slots.(lvl) else [] with
-    | b :: rest ->
-        p.Pool.slots.(lvl) <- rest;
-        p.Pool.counts.(lvl) <- p.Pool.counts.(lvl) - 1;
-        Obs.incr p.Pool.obs c_pool_hit;
-        Obs.add p.Pool.obs c_pool_bytes (Array.length b.keys * bytes_per_slot);
-        b.state <- Private;
-        B.set b.filled 0;
-        b.filter <- Bloom.empty;
-        b
-    | [] ->
-        Obs.incr p.Pool.obs c_pool_miss;
-        fresh lvl exemplar
+  (** [create ?pool level] is an empty [Private] block of [level], from
+      [pool] when it has one. *)
+  let create ?pool level =
+    match pool with
+    | None -> fresh level
+    | Some p -> (
+        match if level <= Pool.max_level then p.Pool.slots.(level) else [] with
+        | b :: rest ->
+            p.Pool.slots.(level) <- rest;
+            p.Pool.counts.(level) <- p.Pool.counts.(level) - 1;
+            Obs.incr p.Pool.obs c_pool_hit;
+            Obs.add p.Pool.obs c_pool_bytes
+              (Array.length b.keys * bytes_per_slot);
+            b.state <- Private;
+            B.set b.filled 0;
+            b.filter <- Bloom.empty;
+            b
+        | [] ->
+            Obs.incr p.Pool.obs c_pool_miss;
+            fresh level)
 
   (** Hand a block's arrays back to the owning thread's pool.  A no-op on
       [Published] blocks (spies/snapshots may still hold them — §4.4's GC
@@ -273,15 +283,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     | Published -> ()
     | Retired -> failwith "Block.publish: retired block resurfaced"
 
-  (* Blocks are always created from at least one source item, which doubles
-     as the array filler for the unfilled tail (never read: readers stop at
-     [filled]).  A pooled block keeps its previous tail contents instead —
-     equally unread. *)
-  let create_with_exemplar ?pool level exemplar =
-    match pool with
-    | None -> fresh level exemplar
-    | Some p -> pool_acquire p level exemplar
-
   (** [spilled ~level ~keys ~ident ...] is a cold block over a store object:
       [keys] (descending, exactly the serialized keys) is the resident
       mirror, [fetch] loads the items on first selection.  Built by the
@@ -302,42 +303,57 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 
   (** [singleton ~filter item] is the level-0 block of one item. *)
   let singleton ?pool ~filter item =
-    let b = create_with_exemplar ?pool 0 item in
+    let b = create ?pool 0 in
     (resident_exn b).(0) <- item;
     b.keys.(0) <- Item.key item;
     B.set b.filled 1;
     b.filter <- filter;
     b
 
-  (** [of_sorted_array ~filter items] is a block holding exactly [items],
-      whose keys must already be descending (checked); the level is the
-      smallest whose capacity fits.  This is the bulk constructor for
-      tests, benchmarks, and recovery planting — folding {!merge} over
-      singletons is not equivalent: each merge allocates at
-      [1 + max level], so an n-item fold transiently demands a
-      [2^n]-capacity block. *)
-  let of_sorted_array ?pool ~filter items =
-    let n = Array.length items in
-    if n = 0 then invalid_arg "Block.of_sorted_array: empty";
+  (** [of_sorted ?pool ~filter n item] is a block holding exactly the
+      items [item 0 .. item (n-1)], whose keys must be descending
+      (checked); the level is the smallest whose capacity fits.  This is
+      the bulk constructor for batches, tests, benchmarks, and recovery
+      planting — folding {!merge} over singletons is not equivalent: each
+      merge allocates at [1 + max level], so an n-item fold transiently
+      demands a [2^n]-capacity block. *)
+  let of_sorted ?pool ~filter n item =
+    if n <= 0 then invalid_arg "Block.of_sorted: empty";
     let lvl = ref 0 in
     while capacity_of_level !lvl < n do
       incr lvl
     done;
-    let b = create_with_exemplar ?pool !lvl items.(0) in
+    let b = create ?pool !lvl in
     let dst = resident_exn b in
     let prev = ref max_int in
-    Array.iteri
-      (fun i it ->
-        let k = Item.key it in
-        if k > !prev then
-          invalid_arg "Block.of_sorted_array: keys not descending";
-        prev := k;
-        dst.(i) <- it;
-        b.keys.(i) <- k)
-      items;
+    for i = 0 to n - 1 do
+      let it = item i in
+      let k = Item.key it in
+      if k > !prev then
+        invalid_arg "Block.of_sorted: keys not descending";
+      prev := k;
+      dst.(i) <- it;
+      b.keys.(i) <- k
+    done;
     B.set b.filled n;
     b.filter <- filter;
     b
+
+  (** [of_pairs ?pool ~filter pairs] is the block of fresh items made from
+      [(key, value)] [pairs] in any order ([pairs] itself is not
+      modified): the bulk-insert constructor.  The items are made straight
+      into their slots, never through an [Array.map]-built item array
+      (see {!Item.vacant}). *)
+  let of_pairs ?pool ~filter pairs =
+    let sorted = Array.copy pairs in
+    Array.sort (fun (a, _) (b, _) -> compare b a) sorted;
+    of_sorted ?pool ~filter (Array.length sorted) (fun i ->
+        let key, value = sorted.(i) in
+        Item.make key value)
+
+  (** [of_sorted_array ~filter items] is {!of_sorted} over an array. *)
+  let of_sorted_array ?pool ~filter items =
+    of_sorted ?pool ~filter (Array.length items) (Array.get items)
 
   (** Minimal key of the block in O(1): the last logically-held item.
       May be a deleted item; callers handle that (find-min falls back and
@@ -420,18 +436,32 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       List.rev !acc
     end
 
-  (* Append with a precomputed key (hot paths stream keys from the flat
-     array instead of re-reading the boxed item). *)
-  let append_keyed ~alive t item key =
+  (** Append to a block under construction (private to the caller) when
+      the item is [alive]: one [filled] read and one write per item, for
+      tests and benchmarks that grow a block by hand.  The builders below
+      count in a local instead and write [filled] once. *)
+  let append ~alive t item =
     if alive item then begin
       let f = B.get t.filled in
       (resident_exn t).(f) <- item;
-      t.keys.(f) <- key;
+      t.keys.(f) <- Item.key item;
       B.set t.filled (f + 1)
     end
 
-  (* Append to a block under construction (private to the caller). *)
-  let append ~alive t item = append_keyed ~alive t item (Item.key item)
+  (* Copy entries [from .. upto-1] of [src] (keys [sk]) into [dst]/[dk]
+     starting at index [n], dropping dead items when [test]; returns the
+     new count.  One streaming write per kept item and no allocation. *)
+  let copy_run ~alive ~test src sk from upto dst dk n =
+    let n = ref n in
+    for i = from to upto - 1 do
+      let it = src.(i) in
+      if (not test) || alive it then begin
+        dst.(!n) <- it;
+        dk.(!n) <- sk.(i);
+        incr n
+      end
+    done;
+    !n
 
   (** [copy ~alive t lvl] copies the alive items of [t] into a fresh block
       of level [lvl] (capacity must suffice, which callers guarantee since
@@ -439,13 +469,12 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   let copy ?pool ~alive t lvl =
     let f = filled t in
     let its = items t in
-    let nb =
-      create_with_exemplar ?pool lvl its.(if f = 0 then 0 else f - 1)
-    in
+    let nb = create ?pool lvl in
     nb.filter <- t.filter;
-    for i = 0 to f - 1 do
-      append_keyed ~alive nb its.(i) t.keys.(i)
-    done;
+    let n =
+      copy_run ~alive ~test:true its t.keys 0 f (resident_exn nb) nb.keys 0
+    in
+    B.set nb.filled n;
     B.tick f;
     nb
 
@@ -458,11 +487,12 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       its strictly-decreasing-levels invariant without re-normalizing. *)
   let copy_prefix ?pool ~alive t ~keep =
     let its = items t in
-    let nb = create_with_exemplar ?pool t.level its.(0) in
+    let nb = create ?pool t.level in
     nb.filter <- t.filter;
-    for i = 0 to keep - 1 do
-      append_keyed ~alive nb its.(i) t.keys.(i)
-    done;
+    let n =
+      copy_run ~alive ~test:true its t.keys 0 keep (resident_exn nb) nb.keys 0
+    in
+    B.set nb.filled n;
     B.tick keep;
     nb
 
@@ -494,48 +524,55 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   (** Two-way merge of [b1] and [b2] into a fresh block whose level always
       has room for both inputs; alive filtering happens on the way.  The
       Bloom filters are united — the only point where filters change.
+
       When a [pool] is given, [Private] inputs are retired after their
       contents are copied out: a private input to a pooled merge is by
-      construction a dead cascade intermediate (published inputs are left
-      untouched). *)
+      construction a dead intermediate of the running cascade (published
+      inputs are left untouched).  Its items were tested when it was
+      built, so a pooled merge tests liveness only on its non-[Private]
+      inputs — one test per item per cascade.  An unpooled merge filters
+      everything. *)
   let merge ?pool ~alive b1 b2 =
     let f1 = filled b1 and f2 = filled b2 in
+    if f1 = 0 && f2 = 0 then invalid_arg "Block.merge: both blocks empty";
     (* A spilled input rehydrates here: merging materializes the union, so
        the cold payload is needed in RAM anyway (its journal entry retires
        on fetch; the merged output is an ordinary resident block). *)
     let i1 = if f1 > 0 then items b1 else [||] in
     let i2 = if f2 > 0 then items b2 else [||] in
-    let lvl = 1 + max b1.level b2.level in
-    let exemplar =
-      if f1 > 0 then i1.(0)
-      else if f2 > 0 then i2.(0)
-      else invalid_arg "Block.merge: both blocks empty"
-    in
-    let nb = create_with_exemplar ?pool lvl exemplar in
+    let test1 = Option.is_none pool || b1.state <> Private in
+    let test2 = Option.is_none pool || b2.state <> Private in
+    let nb = create ?pool (1 + max b1.level b2.level) in
     nb.filter <- Bloom.union b1.filter b2.filter;
     (* Inputs are descending; emit descending.  Compares stream the flat
-       key arrays; the boxed item is only touched to append. *)
+       key arrays; the boxed item is only touched to copy it. *)
+    let dst = resident_exn nb and dk = nb.keys in
     let k1 = b1.keys and k2 = b2.keys in
-    let i = ref 0 and j = ref 0 in
+    let i = ref 0 and j = ref 0 and n = ref 0 in
     while !i < f1 && !j < f2 do
       let x = k1.(!i) and y = k2.(!j) in
       if x >= y then begin
-        append_keyed ~alive nb i1.(!i) x;
+        let it = i1.(!i) in
+        if (not test1) || alive it then begin
+          dst.(!n) <- it;
+          dk.(!n) <- x;
+          incr n
+        end;
         incr i
       end
       else begin
-        append_keyed ~alive nb i2.(!j) y;
+        let it = i2.(!j) in
+        if (not test2) || alive it then begin
+          dst.(!n) <- it;
+          dk.(!n) <- y;
+          incr n
+        end;
         incr j
       end
     done;
-    while !i < f1 do
-      append_keyed ~alive nb i1.(!i) k1.(!i);
-      incr i
-    done;
-    while !j < f2 do
-      append_keyed ~alive nb i2.(!j) k2.(!j);
-      incr j
-    done;
+    let n = copy_run ~alive ~test:test1 i1 k1 !i f1 dst dk !n in
+    let n = copy_run ~alive ~test:test2 i2 k2 !j f2 dst dk n in
+    B.set nb.filled n;
     B.tick (f1 + f2);
     retire ?pool b1;
     retire ?pool b2;

@@ -173,21 +173,16 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     | 1 ->
         let key, value = pairs.(0) in
         insert h key value
-    | n ->
+    | _ ->
         Array.iter
           (fun (key, _) ->
             if key < 0 then invalid_arg "Klsm.insert_batch: negative key")
           pairs;
-        let items =
-          Array.map (fun (key, value) -> Item.make key value) pairs
+        let block =
+          Block.of_pairs ~pool:h.pool
+            ~filter:(Klsm_primitives.Bloom.singleton ~hasher:h.t.hasher h.tid)
+            pairs
         in
-        (* Blocks store keys in descending order. *)
-        Array.sort (fun a b -> compare (Item.key b) (Item.key a)) items;
-        let level = Klsm_primitives.Bits.ceil_log2 n in
-        let block = Block.create_with_exemplar ~pool:h.pool level items.(0) in
-        block.Block.filter <-
-          Klsm_primitives.Bloom.singleton ~hasher:h.t.hasher h.tid;
-        Array.iter (fun it -> Block.append ~alive:h.t.alive block it) items;
         h.share block
 
   (* Spy on one random other thread (Listing 5's fallback when both

@@ -135,14 +135,14 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     let n = Int64.to_int (String.get_int64_le bytes 16) in
     if n < 0 || len <> encoded_size ~count:n then
       raise (Store.Corrupt "block: bad length");
-    let pairs =
-      Array.init n (fun i ->
-          ( Int64.to_int
-              (String.get_int64_le bytes (header_bytes + (bytes_per_item * i))),
-            Int64.to_int
-              (String.get_int64_le bytes (header_bytes + (bytes_per_item * i) + 8))
-          ))
-    in
+    (* Seeded with a static pair, not a decoded one: see {!Item.vacant}. *)
+    let pairs = Array.make n (0, 0) in
+    for i = 0 to n - 1 do
+      let at = header_bytes + (bytes_per_item * i) in
+      pairs.(i) <-
+        ( Int64.to_int (String.get_int64_le bytes at),
+          Int64.to_int (String.get_int64_le bytes (at + 8)) )
+    done;
     for i = 0 to n - 2 do
       if fst pairs.(i) < fst pairs.(i + 1) then
         raise (Store.Corrupt "block: keys not descending")
@@ -185,7 +185,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
          recovered again (no resurrection). *)
       Journal.append_rehydrate p.journal ~iid ~digest;
       Store.decr_ref p.store digest;
-      let items = Array.map (fun (k, v) -> Item.make k v) pairs in
+      let items = Item.vacant n in
+      Array.iteri (fun i (k, v) -> items.(i) <- Item.make k v) pairs;
       Obs.incr obs c_rehydrate;
       Obs.span_end obs sp_rehydrate t0;
       items
@@ -229,7 +230,10 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
           block
         end
         else begin
-          let pairs = Array.init !n (fun i -> (ks.(i), vs.(i))) in
+          let pairs = Array.make !n (0, 0) in
+          for i = 0 to !n - 1 do
+            pairs.(i) <- (ks.(i), vs.(i))
+          done;
           let bytes = encode ~level:(Block.level block) pairs in
           let digest = Store.put p.store bytes in
           Store.incr_ref p.store digest;

@@ -13,10 +13,10 @@ let alive it = not (Item.is_taken it)
 let block_of_keys keys =
   match keys with
   | [] -> invalid_arg "block_of_keys: empty"
-  | k0 :: _ ->
+  | _ :: _ ->
       let sorted = List.sort (fun a b -> compare b a) keys (* descending *) in
       let level = Klsm_primitives.Bits.ceil_log2 (List.length keys) in
-      let b = Block.create_with_exemplar level (Item.make k0 ()) in
+      let b = Block.create level in
       List.iter (fun k -> Block.append ~alive b (Item.make k ())) sorted;
       b
 
@@ -32,6 +32,53 @@ let test_item_take_once () =
   check_bool "second take fails" false (Item.take it);
   check_int "key" 5 (Item.key it);
   Alcotest.(check string) "value" "payload" (Item.value it)
+
+(* The item is one block with an inline flag on Real and a record plus a
+   charged atomic on Sim; every observable answer must agree. *)
+module SItem = Klsm_core.Item.Make (Klsm_backend.Sim)
+
+let item_script (type t) ~make ~take ~is_taken ~key ~value =
+  let items : t array =
+    Array.init 4 (fun i -> make (10 * i) (string_of_int i))
+  in
+  let log = Buffer.create 64 in
+  let say b = Buffer.add_string log (if b then "1" else "0") in
+  Array.iter (fun it -> say (is_taken it)) items;
+  List.iter (fun i -> say (take items.(i))) [ 2; 0; 2; 3; 0 ];
+  Array.iter
+    (fun it ->
+      say (is_taken it);
+      Buffer.add_string log (Printf.sprintf "%d%s" (key it) (value it)))
+    items;
+  Buffer.contents log
+
+let test_item_real_sim_agree () =
+  let real =
+    item_script ~make:Item.make ~take:Item.take ~is_taken:Item.is_taken
+      ~key:Item.key ~value:Item.value
+  in
+  let sim = ref "" in
+  Klsm_backend.Sim.parallel_run ~num_threads:1 (fun _ ->
+      sim :=
+        item_script ~make:SItem.make ~take:SItem.take ~is_taken:SItem.is_taken
+          ~key:SItem.key ~value:SItem.value);
+  check_string "same answers" real !sim;
+  check_string "expected answers" "000011010100010112021303" real
+
+(* Real domains racing [take]: the inline-flag CAS admits one winner. *)
+let test_item_take_race () =
+  let n = 20_000 in
+  let items = Array.init n (fun i -> Item.make i ()) in
+  let wins = Array.make 2 0 in
+  B.parallel_run ~num_threads:2 (fun tid ->
+      let w = ref 0 in
+      for i = 0 to n - 1 do
+        let i = if tid = 0 then i else n - 1 - i in
+        if Item.take items.(i) then incr w
+      done;
+      wins.(tid) <- !w);
+  check_int "every item won exactly once" n (wins.(0) + wins.(1));
+  check_bool "every item taken" true (Array.for_all Item.is_taken items)
 
 (* ---------------- Block basics ---------------- *)
 
@@ -295,6 +342,59 @@ let test_pool_publish_after_retire_fails () =
        false
      with Failure _ -> true)
 
+(* Two level-8 blocks of fresh (young) items, one published. *)
+let young_pair () =
+  let mk parity =
+    let b = Block.create 8 in
+    for i = 255 downto 0 do
+      Block.append ~alive b (Item.make ((2 * i) + parity) ())
+    done;
+    b
+  in
+  let b1 = mk 0 and b2 = mk 1 in
+  Block.publish b1;
+  (b1, b2)
+
+let minor_collections () = (Gc.quick_stat ()).Gc.minor_collections
+
+(* OCaml 5.1's [Array.make n v] with [n > 256] and [v] young runs a minor
+   collection first, so a block filled with a borrowed input item forced
+   one per level >= 9 merge. *)
+let test_pool_merge_no_minor_gc () =
+  let pool = Block.Pool.create () in
+  Gc.full_major ();
+  let b1, b2 = young_pair () in
+  let before = minor_collections () in
+  let m = Block.merge ~pool ~alive b1 b2 in
+  let after = minor_collections () in
+  check_int "level 9" 9 (Block.level m);
+  check_int "all items" 512 (Block.filled m);
+  check_int "no minor collection" before after;
+  Block.check_invariants m
+
+let test_pool_merge_drops_dead_published () =
+  let pool = Block.Pool.create () in
+  let b1 = block_of_keys [ 1; 3; 5 ] and b2 = block_of_keys [ 2; 4; 6 ] in
+  Block.publish b1;
+  Block.iter b1 ~f:(fun it -> if Item.key it = 3 then ignore (Item.take it));
+  let m = Block.merge ~pool ~alive b1 b2 in
+  check_list_int "3 gone" [ 6; 5; 4; 2; 1 ] (keys_of_block m)
+
+let test_pool_merge_skips_private_tests () =
+  let pool = Block.Pool.create () in
+  let published = block_of_keys [ 1; 3; 5 ] in
+  let intermediate = block_of_keys [ 2; 4; 6 ] in
+  Block.publish published;
+  let tested = ref [] in
+  let alive it =
+    tested := Item.key it :: !tested;
+    alive it
+  in
+  let m = Block.merge ~pool ~alive published intermediate in
+  check_list_int "only the published input is tested" [ 1; 3; 5 ]
+    (List.sort compare !tested);
+  check_list_int "union" [ 6; 5; 4; 3; 2; 1 ] (keys_of_block m)
+
 (* ---------------- lazy-deletion alive predicates ---------------- *)
 
 let test_custom_alive_predicate () =
@@ -308,7 +408,13 @@ let test_custom_alive_predicate () =
 let () =
   Alcotest.run "block"
     [
-      ("item", [ Alcotest.test_case "take once" `Quick test_item_take_once ]);
+      ( "item",
+        [
+          Alcotest.test_case "take once" `Quick test_item_take_once;
+          Alcotest.test_case "real and sim agree" `Quick
+            test_item_real_sim_agree;
+          Alcotest.test_case "take race" `Quick test_item_take_race;
+        ] );
       ( "block",
         [
           Alcotest.test_case "singleton" `Quick test_singleton;
@@ -355,6 +461,12 @@ let () =
             test_pool_retired_block_fails_invariants;
           Alcotest.test_case "publish after retire fails" `Quick
             test_pool_publish_after_retire_fails;
+          Alcotest.test_case "merge forces no minor gc" `Quick
+            test_pool_merge_no_minor_gc;
+          Alcotest.test_case "merge drops dead published" `Quick
+            test_pool_merge_drops_dead_published;
+          Alcotest.test_case "merge skips private tests" `Quick
+            test_pool_merge_skips_private_tests;
         ] );
       ( "lazy-deletion",
         [ Alcotest.test_case "custom alive" `Quick test_custom_alive_predicate ]

@@ -17,10 +17,10 @@ let hasher = Tabular_hash.create ~seed:77
 let block_of_keys ?(filter = Bloom.empty) keys =
   match keys with
   | [] -> invalid_arg "block_of_keys: empty"
-  | k0 :: _ ->
+  | _ :: _ ->
       let sorted = List.sort (fun a b -> compare b a) keys in
       let level = Klsm_primitives.Bits.ceil_log2 (List.length keys) in
-      let b = Block.create_with_exemplar level (Item.make k0 ()) in
+      let b = Block.create level in
       List.iter (fun k -> Block.append ~alive b (Item.make k ())) sorted;
       b.Block.filter <- filter;
       b

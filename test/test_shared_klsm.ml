@@ -22,10 +22,10 @@ let handle ?(tid = 0) q =
 let block_of_keys ?(filter = Bloom.empty) keys =
   match keys with
   | [] -> invalid_arg "block_of_keys"
-  | k0 :: _ ->
+  | _ :: _ ->
       let sorted = List.sort (fun a b -> compare b a) keys in
       let level = Klsm_primitives.Bits.ceil_log2 (List.length keys) in
-      let b = Block.create_with_exemplar level (Item.make k0 ()) in
+      let b = Block.create level in
       List.iter (fun k -> Block.append ~alive b (Item.make k ())) sorted;
       b.Block.filter <- filter;
       b
@@ -177,6 +177,23 @@ let test_local_ordering_across_merges () =
     | None -> Alcotest.fail "non-empty"
   done
 
+(* A level-8 insert landing on a level-8 block cascades into level 9.  Its
+   block must not be seeded with a still-young item: OCaml 5.1's
+   [Array.make n v] with [n > 256] and [v] young runs a minor collection
+   first. *)
+let test_insert_cascade_no_minor_gc () =
+  let q = make ~k:256 () in
+  let h = handle q in
+  Gc.full_major ();
+  let b1 = block_of_keys (List.init 256 (fun i -> 2 * i)) in
+  let b2 = block_of_keys (List.init 256 (fun i -> (2 * i) + 1)) in
+  Shared.insert h b1;
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  Shared.insert h b2;
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  check_int "size 512" 512 (Shared.approximate_size q);
+  check_int "no minor collection" before after
+
 let () =
   Alcotest.run "shared_klsm"
     [
@@ -197,5 +214,7 @@ let () =
           Alcotest.test_case "consolidation" `Quick test_consolidation_publishes_cleanup;
           Alcotest.test_case "two handles" `Quick test_two_handles_contend;
           Alcotest.test_case "local ordering" `Quick test_local_ordering_across_merges;
+          Alcotest.test_case "cascade forces no minor gc" `Quick
+            test_insert_cascade_no_minor_gc;
         ] );
     ]
